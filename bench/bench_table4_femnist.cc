@@ -1,8 +1,9 @@
 /// Reproduces Table IV: SV-based data valuation on the FEMNIST-style
 /// workload across n in {3, 6, 10} clients with MLP and CNN FL models.
-/// For every algorithm the harness reports the charged time (see
-/// EXPERIMENTS.md "Cost accounting"), the number of FL trainings, and the
-/// relative l2 approximation error against the exact MC-SV ground truth.
+/// For every algorithm the harness reports the charged time (see the
+/// `charged=` field in docs/OPERATIONS.md's log-line glossary), the
+/// number of FL trainings, and the relative l2 approximation error
+/// against the exact MC-SV ground truth.
 
 #include <cstdio>
 #include <iostream>

@@ -28,7 +28,8 @@ struct ValuationResult {
   /// Modeled cost: sum of the recorded train+evaluate seconds of every
   /// distinct coalition this run asked for, plus any directly measured
   /// algorithm-side work. This is the "Time" column of the paper-style
-  /// tables (see EXPERIMENTS.md, Cost accounting).
+  /// tables (see the `charged=` field of the job done line in
+  /// docs/OPERATIONS.md's log-line glossary).
   double charged_seconds = 0.0;
   /// Actual wall time of this run (mostly cache hits in repeated runs).
   double wall_seconds = 0.0;

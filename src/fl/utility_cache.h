@@ -43,7 +43,8 @@ struct UtilityRecord {
 /// training cost of every coalition it asks for, whether or not the value
 /// was already cached from an earlier run — i.e. reported time stays
 /// faithful to "train and evaluate an FL model per evaluated combination"
-/// while ground-truth sweeps stay tractable (see EXPERIMENTS.md).
+/// while ground-truth sweeps stay tractable (see the `charged=` field of
+/// the job done line in docs/OPERATIONS.md's log-line glossary).
 class UtilityCache {
  public:
   /// `fn` must outlive the cache.
@@ -162,6 +163,11 @@ class UtilityCache {
 /// needed (= FL trainings a standalone run would have performed; each
 /// distinct coalition is charged its recorded training cost exactly once,
 /// matching an implementation that memoizes within the run).
+///
+/// Not thread-safe: a session has exactly one owner at a time (the run
+/// driving the estimator, or the service worker holding the job's
+/// slice), and the hand-off between owners must happen-before the next
+/// call. Concurrency lives one layer down, in the shared UtilityCache.
 class UtilitySession {
  public:
   /// `cache` (and `pool`, when given) must outlive the session. A session
@@ -193,39 +199,22 @@ class UtilitySession {
   /// Whether the fused dispatch path is enabled.
   bool fused() const { return fused_; }
 
-  /// Records that a speculative prefetcher trained `coalition` on this
-  /// session's behalf (its cache Get came back fresh). If the session has
-  /// already evaluated the coalition the training is attributed now;
-  /// otherwise a credit is held and consumed by the first Evaluate of
-  /// that coalition. Single-flight in the cache guarantees at most one
-  /// fresh training per coalition ever, so num_fresh_trainings stays
-  /// exact under any prefetch/evaluate interleaving. Thread-safe against
-  /// concurrent Evaluate/EvaluateBatch calls.
-  void CreditPrefetchedTraining(const Coalition& coalition);
-
   /// Total U(.) queries this run issued (statistics for ValuationResult).
-  size_t num_evaluations() const;
+  size_t num_evaluations() const { return num_evaluations_; }
   /// Distinct coalitions this run needed (= FL trainings a standalone
   /// run would have performed).
-  size_t num_distinct() const;
+  size_t num_distinct() const { return seen_.size(); }
   /// Distinct coalitions this run actually trained itself: evaluations
   /// that missed the shared cache and were computed on this session's
-  /// behalf (including trainings a speculative prefetcher ran ahead for
-  /// it — see CreditPrefetchedTraining). `num_distinct() -
-  /// num_fresh_trainings()` is therefore the number of trainings this run
-  /// *reused* — from earlier runs in the process, from concurrent runs
-  /// sharing the cache, or from an attached store. The valuation service
-  /// reports this as its cross-job dedup metric.
-  size_t num_fresh_trainings() const;
+  /// behalf. `num_distinct() - num_fresh_trainings()` is therefore the
+  /// number of trainings this run *reused* — from earlier runs in the
+  /// process, from concurrent runs sharing the cache, or from an attached
+  /// store. The valuation service reports this as its cross-job dedup
+  /// metric.
+  size_t num_fresh_trainings() const { return fresh_trainings_; }
   /// Sum of the recorded training costs of the distinct coalitions, each
   /// charged exactly once.
-  double charged_seconds() const;
-  /// Trainings a speculative prefetcher credited to this session.
-  size_t prefetch_credited() const;
-  /// Credited prefetch trainings whose coalition the session went on to
-  /// evaluate (the prefetcher's hit-ahead count; the rest were
-  /// mis-speculations or arrived after the run finished).
-  size_t prefetch_consumed() const;
+  double charged_seconds() const { return charged_seconds_; }
 
  private:
   Result<double> EvaluateInternal(const Coalition& coalition,
@@ -234,16 +223,9 @@ class UtilitySession {
   UtilityCache* cache_;
   ThreadPool* pool_;
   bool fused_ = false;
-  /// Guards all accounting below: the service's prefetch thread posts
-  /// credits concurrently with the run thread's evaluations.
-  mutable std::mutex mutex_;
   std::unordered_set<Coalition, CoalitionHash> seen_;
-  /// Prefetched-fresh coalitions not yet evaluated by this session.
-  std::unordered_set<Coalition, CoalitionHash> credits_;
   size_t num_evaluations_ = 0;
   size_t fresh_trainings_ = 0;
-  size_t prefetch_credited_ = 0;
-  size_t prefetch_consumed_ = 0;
   double charged_seconds_ = 0.0;
 };
 

@@ -141,6 +141,7 @@ void ClusterDispatcher::AddWorker(std::unique_ptr<FrameChannel> channel) {
   // a harness may construct the dispatcher, fork subprocess workers, and
   // only then go multi-threaded.
   StartMonitorLocked();
+  outage_latched_ = false;
   workers_changed_.notify_all();
 }
 
@@ -191,13 +192,22 @@ bool ClusterDispatcher::HasSchedulableWorkerLocked() const {
 bool ClusterDispatcher::WaitForWorkerLocked(
     std::unique_lock<std::mutex>& lock) {
   if (HasSchedulableWorkerLocked()) return true;
-  if (options_.degraded_grace_ms <= 0) return false;
+  if (outage_latched_ || options_.degraded_grace_ms <= 0) return false;
   const Clock::time_point deadline =
       Clock::now() + std::chrono::milliseconds(options_.degraded_grace_ms);
-  while (!stopping_) {
+  while (!stopping_ && !outage_latched_) {
     if (workers_changed_.wait_until(lock, deadline) ==
         std::cv_status::timeout) {
-      return HasSchedulableWorkerLocked();
+      if (HasSchedulableWorkerLocked()) return true;
+      // One window per outage, not per coalition: latch it, and release
+      // every other waiter so it degrades now instead of at its own
+      // deadline.
+      outage_latched_ = true;
+      FEDSHAP_LOG(Warning) << "[cluster] no schedulable worker for "
+                           << options_.degraded_grace_ms
+                           << "ms; degraded until a worker returns";
+      workers_changed_.notify_all();
+      return false;
     }
     if (HasSchedulableWorkerLocked()) return true;
   }
@@ -380,6 +390,7 @@ void ClusterDispatcher::BreakerSuccessLocked(size_t index) {
     worker.breaker = BreakerState::kClosed;
     FEDSHAP_LOG(Info) << "[cluster] worker " << index
                       << " breaker closed after successful probe";
+    outage_latched_ = false;
     workers_changed_.notify_all();
   }
 }
@@ -547,6 +558,7 @@ void ClusterDispatcher::HandleRegistration(
           ReceiverLoop(index, generation, ch);
         });
     StartMonitorLocked();
+    outage_latched_ = false;
     workers_changed_.notify_all();
     completed_.notify_all();  // orphaned tasks can re-dispatch here
   }
@@ -579,7 +591,6 @@ void ClusterDispatcher::HandleFrame(size_t index, uint64_t generation,
   if (worker.generation != generation) return;  // stale connection
   worker.last_seen = Clock::now();
   switch (frame.type) {
-    case cluster_proto::kHello:
     case cluster_proto::kHeartbeat:
       return;  // liveness only; last_seen is already refreshed
     case cluster_proto::kRegister: {
@@ -751,6 +762,7 @@ void ClusterDispatcher::MonitorLoop() {
         ++stats_.breaker_probes;
         FEDSHAP_LOG(Info) << "[cluster] worker " << i
                           << " breaker half-open; probing";
+        outage_latched_ = false;
         workers_changed_.notify_all();
         completed_.notify_all();
       }

@@ -50,7 +50,7 @@ namespace fedshap {
 /// Cluster protocol frame types (FrameChannel `type` field). Payloads are
 /// ByteWriter-encoded; see cluster.cc for the per-message layout.
 namespace cluster_proto {
-inline constexpr uint32_t kHello = 1;      ///< legacy liveness (unused)
+// Type 1 (a liveness hello) is retired; do not reuse it.
 inline constexpr uint32_t kWorkload = 2;   ///< coord->worker: key, spec, fp
 inline constexpr uint32_t kAssign = 3;     ///< coord->worker: task, coalition
 inline constexpr uint32_t kResult = 4;     ///< worker->coord: task, utility
@@ -134,7 +134,10 @@ struct ClusterStats {
 ///  - when no schedulable worker exists for `degraded_grace_ms`,
 ///    Evaluate fails with Unavailable — the signal ClusterUtility turns
 ///    into a local (coordinator-side) training, so the service keeps
-///    producing bit-identical values through a total partition.
+///    producing bit-identical values through a total partition. The
+///    first expired window latches the outage: later evaluations fail
+///    fast instead of each waiting a window of its own, until a worker
+///    (re)registers or a breaker cooldown makes one schedulable again.
 ///
 /// Thread-safe; Evaluate() may be called from many coordinator threads.
 class ClusterDispatcher {
@@ -286,8 +289,8 @@ class ClusterDispatcher {
   // All *Locked methods require mutex_ held.
   bool SchedulableLocked(const WorkerState& worker) const;
   bool HasSchedulableWorkerLocked() const;
-  /// Waits up to degraded_grace_ms for a schedulable worker. Returns
-  /// whether one exists on exit.
+  /// Waits up to degraded_grace_ms for a schedulable worker — or not at
+  /// all while an outage is latched. Returns whether one exists on exit.
   bool WaitForWorkerLocked(std::unique_lock<std::mutex>& lock);
   int PickWorkerLocked(const Coalition& coalition) const;
   Status AssignLocked(uint64_t task_id, PendingTask& task, int worker);
@@ -305,6 +308,10 @@ class ClusterDispatcher {
   /// Signals worker attach/death/breaker transitions — what degraded
   /// grace waits on.
   std::condition_variable workers_changed_;
+  /// Set when a grace window expires with no schedulable worker; cleared
+  /// whenever a worker becomes schedulable again. While set, dispatch
+  /// degrades immediately, so a total outage costs one grace window.
+  bool outage_latched_ = false;
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::map<std::string, WorkloadInfo> workloads_;
   std::unordered_map<uint64_t, PendingTask> pending_;

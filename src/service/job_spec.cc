@@ -297,8 +297,6 @@ Result<JobSpec> JobSpec::FromLine(std::string_view line) {
                                ParseInteger(key, value));
     } else if (key == "allocation") {
       spec.allocation = std::string(value);
-    } else if (key == "prefetch") {
-      FEDSHAP_ASSIGN_OR_RETURN(spec.prefetch, ParseInteger(key, value));
     } else if (key == "fuse") {
       if (value == "on") {
         spec.fuse = true;
@@ -352,9 +350,6 @@ Result<JobSpec> JobSpec::FromLine(std::string_view line) {
   if (spec.checkpoint_every < 1) {
     return Status::InvalidArgument("chunk must be >= 1");
   }
-  if (spec.prefetch < 0) {
-    return Status::InvalidArgument("prefetch must be >= 0");
-  }
   if (spec.allocation != "fixed" && spec.allocation != "neyman") {
     return Status::InvalidArgument("unknown allocation '" + spec.allocation +
                                    "' (fixed|neyman)");
@@ -375,7 +370,6 @@ std::string JobSpec::ToLine() const {
                      " seed=" + std::to_string(seed) +
                      " chunk=" + std::to_string(checkpoint_every) +
                      " allocation=" + allocation +
-                     " prefetch=" + std::to_string(prefetch) +
                      " fuse=" + (fuse ? "on" : "off") +
                      " scenario=" + scenario.kind +
                      " n=" + std::to_string(scenario.n) +

@@ -132,12 +132,6 @@ struct JobSpec {
   /// variance, see core/stratified.h). Only meaningful with
   /// estimator=stratified; other estimators reject "neyman".
   std::string allocation = "fixed";
-  /// Speculative prefetch depth (`prefetch=` key): how many planned
-  /// coalitions past the current slice the service's prefetcher may
-  /// train ahead of demand (through ResumableEstimator::PeekNext). 0
-  /// disables prefetching for the job. Prefetch only reorders trainings
-  /// — values stay bit-identical to an unprefetched run.
-  int prefetch = 0;
   /// Fused multi-coalition dispatch (`fuse=on|off` key): route slice
   /// batches through UtilityFunction::EvaluateBatchFused, stacking
   /// same-shape model scoring into larger GEMM dispatches. Off by

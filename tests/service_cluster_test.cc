@@ -7,10 +7,12 @@
 // to drive through the binary; the shell test remains as a smoke
 // wrapper over fedshapd itself.
 
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,13 +79,12 @@ ValuationResult RunIsolated(const JobSpec& spec) {
 // The invariance property: cluster == single process, bit for bit
 // ---------------------------------------------------------------------------
 
-// {1,2,4} workers x {ipss, adaptive-neyman stratified, perm-mc} x
-// prefetch {off, 8}: every combination must reproduce the isolated
-// run's values bitwise, with identical evaluation/training/fresh
-// counts (the coordinator cache is authoritative for accounting, so a
-// cold cluster run trains exactly the isolated run's distinct
-// coalitions — on the workers).
-TEST(ClusterInvarianceTest, BitIdenticalAcrossTopologiesEstimatorsPrefetch) {
+// {1,2,4} workers x {ipss, adaptive-neyman stratified, perm-mc}: every
+// combination must reproduce the isolated run's values bitwise, with
+// identical evaluation/training/fresh counts (the coordinator cache is
+// authoritative for accounting, so a cold cluster run trains exactly the
+// isolated run's distinct coalitions — on the workers).
+TEST(ClusterInvarianceTest, BitIdenticalAcrossTopologiesAndEstimators) {
   struct EstimatorCase {
     const char* tag;
     EstimatorKind kind;
@@ -96,31 +97,27 @@ TEST(ClusterInvarianceTest, BitIdenticalAcrossTopologiesEstimatorsPrefetch) {
   };
   const ScenarioSpec scenario = LinregScenario(8);
   for (const EstimatorCase& est : estimators) {
-    for (int prefetch : {0, 8}) {
-      JobSpec job = MakeJob("job", est.kind, scenario);
-      if (est.allocation != nullptr) job.allocation = est.allocation;
-      job.prefetch = prefetch;
-      const ValuationResult reference = RunIsolated(job);
-      ASSERT_EQ(reference.values.size(), 8u);
-      for (int workers : {1, 2, 4}) {
-        ClusterFixture::Options options;
-        options.num_workers = workers;
-        auto fixture = ClusterFixture::Start(options);
-        ASSERT_NE(fixture, nullptr);
-        Result<ValuationResult> result = fixture->Run(job);
-        ASSERT_TRUE(result.ok()) << result.status();
-        const std::string topology = std::string(est.tag) + " prefetch=" +
-                                     std::to_string(prefetch) + " workers=" +
-                                     std::to_string(workers);
-        ExpectBitIdentical(reference, *result, topology);
-        const ClusterStats stats = fixture->cluster_stats();
-        // Every fresh training ran remotely, none twice.
-        EXPECT_EQ(stats.results_applied, reference.num_fresh_trainings)
-            << topology;
-        EXPECT_EQ(stats.worker_fresh_trainings, reference.num_fresh_trainings)
-            << topology;
-        EXPECT_EQ(stats.workers_lost, 0u) << topology;
-      }
+    JobSpec job = MakeJob("job", est.kind, scenario);
+    if (est.allocation != nullptr) job.allocation = est.allocation;
+    const ValuationResult reference = RunIsolated(job);
+    ASSERT_EQ(reference.values.size(), 8u);
+    for (int workers : {1, 2, 4}) {
+      ClusterFixture::Options options;
+      options.num_workers = workers;
+      auto fixture = ClusterFixture::Start(options);
+      ASSERT_NE(fixture, nullptr);
+      Result<ValuationResult> result = fixture->Run(job);
+      ASSERT_TRUE(result.ok()) << result.status();
+      const std::string topology =
+          std::string(est.tag) + " workers=" + std::to_string(workers);
+      ExpectBitIdentical(reference, *result, topology);
+      const ClusterStats stats = fixture->cluster_stats();
+      // Every fresh training ran remotely, none twice.
+      EXPECT_EQ(stats.results_applied, reference.num_fresh_trainings)
+          << topology;
+      EXPECT_EQ(stats.worker_fresh_trainings, reference.num_fresh_trainings)
+          << topology;
+      EXPECT_EQ(stats.workers_lost, 0u) << topology;
     }
   }
 }
@@ -593,24 +590,42 @@ TEST(ClusterBreakerTest, TripProbeCloseUnderConsecutiveDeadlineExpiry) {
   EXPECT_EQ(stats.results_applied, reference.num_fresh_trainings);
 }
 
+// Degraded-mode latency: a total outage pays the grace window once, not
+// once per coalition. The first expired window latches the outage and
+// every later dispatch degrades at once, so a whole job finishes within
+// a few windows; without the latch each of its >= 20 distinct
+// coalitions would wait out a window of its own.
+constexpr int kOutageGraceMs = 200;
+constexpr int kMaxGraceWindowsPerOutage = 5;
+
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
 // Total outage from the start: the lone worker is killed before the job
-// runs. Every evaluation passes the grace window with no schedulable
-// worker, fails Unavailable, and ClusterUtility trains it on the
-// coordinator instead — bit-identical values, zero remote results.
+// runs. The first evaluation waits out the grace window, every one fails
+// Unavailable, and ClusterUtility trains it on the coordinator instead —
+// bit-identical values, zero remote results, one grace window paid.
 TEST(ClusterDegradedTest, TotalOutageServesBitIdenticalValuesLocally) {
   JobSpec job = MakeJob("job", EstimatorKind::kIpss, LinregScenario(8));
   const ValuationResult reference = RunIsolated(job);
+  ASSERT_GE(reference.num_fresh_trainings, 20u);
 
   ClusterFixture::Options options;
   options.num_workers = 1;
   options.heartbeat_timeout_ms = 500;
-  options.degraded_grace_ms = 100;
+  options.degraded_grace_ms = kOutageGraceMs;
   auto fixture = ClusterFixture::Start(options);
   ASSERT_NE(fixture, nullptr);
   fixture->KillWorker(0);
+  const auto start = std::chrono::steady_clock::now();
   Result<ValuationResult> result = fixture->Run(job);
+  const double elapsed_ms = MillisSince(start);
   ASSERT_TRUE(result.ok()) << result.status();
   ExpectBitIdentical(reference, *result, "degraded-total-outage");
+  EXPECT_LT(elapsed_ms, kMaxGraceWindowsPerOutage * kOutageGraceMs);
 
   const ClusterStats stats = fixture->cluster_stats();
   EXPECT_EQ(stats.results_applied, 0u);  // nothing came from a worker
@@ -639,6 +654,46 @@ TEST(ClusterDegradedTest, MidJobOutageDegradesAndStaysBitIdentical) {
   EXPECT_EQ(stats.workers_lost, 1u);
   EXPECT_GE(stats.results_applied, 1u);       // some work ran remotely
   EXPECT_GE(stats.degraded_evaluations, 1u);  // the rest degraded
+}
+
+// The latch lasts one outage: a worker attaching clears it, so the next
+// outage gets a full grace window again instead of degrading at once.
+TEST(ClusterDegradedTest, OutageLatchClearsWhenAWorkerAttaches) {
+  const ScenarioSpec scenario = LinregScenario(4);
+  Result<std::unique_ptr<UtilityFunction>> local = scenario.Build();
+  ASSERT_TRUE(local.ok());
+  ClusterDispatcher::Options options;
+  options.degraded_grace_ms = kOutageGraceMs;
+  ClusterDispatcher dispatcher(options);
+  dispatcher.RegisterWorkload("w", scenario, (*local)->Fingerprint());
+  const auto timed_unavailable_ms = [&] {
+    const auto start = std::chrono::steady_clock::now();
+    Result<UtilityRecord> record =
+        dispatcher.Evaluate("w", Coalition::Of({0, 1}));
+    EXPECT_EQ(record.status().code(), StatusCode::kUnavailable);
+    return MillisSince(start);
+  };
+
+  // No worker at all: the first dispatch waits out the window and
+  // latches the outage; the second degrades without waiting.
+  EXPECT_GE(timed_unavailable_ms(), kOutageGraceMs);
+  EXPECT_LT(timed_unavailable_ms(), kOutageGraceMs);
+
+  // A worker attaches and hangs up again before any dispatch: a new
+  // outage, which must wait a full window of its own.
+  auto pair = CreateChannelPair();
+  ASSERT_TRUE(pair.ok()) << pair.status();
+  dispatcher.AddWorker(std::move(pair->first));
+  pair->second.reset();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (dispatcher.live_workers() > 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(dispatcher.live_workers(), 0u);
+  EXPECT_GE(timed_unavailable_ms(), kOutageGraceMs);
+  dispatcher.Shutdown();
 }
 
 // ---------------------------------------------------------------------------
